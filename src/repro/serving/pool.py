@@ -7,8 +7,8 @@ warm-up, cold caches -- on *every* ``run()`` call, which is why
 that receive pickled :class:`~repro.api.spec.ScenarioSpec` tasks over
 queues, keep their per-process caches warm across runs (the
 :mod:`~repro.api.fabric_cache` mapped-fabric store, the workload
-adapters' model caches), and stream results back over one shared
-outbox.
+adapters' model caches), and stream results back over one private
+one-way pipe each.
 
 Determinism is inherited, not re-proven: workers execute the exact
 :func:`~repro.parallel.runner.run_shard` /
@@ -20,9 +20,9 @@ sharded merges go through the same
 
 Robustness contract:
 
-* **health**: a collector thread watches the outbox and reaps dead
-  workers within its poll interval; :meth:`WorkerPool.ping` round-trips
-  a token through every worker.
+* **health**: a collector thread wakes on worker outbox pipes and
+  process sentinels, reaping a dead worker the moment it exits;
+  :meth:`WorkerPool.ping` round-trips a token through every worker.
 * **crash recovery**: a worker that dies mid-task is restarted and the
   task retried on the fresh worker (bit-identical, because tasks are
   pure functions of their specs); a task that keeps killing workers
@@ -43,11 +43,11 @@ import collections
 import multiprocessing
 import os
 import pickle
-import queue as queue_mod
 import threading
 import time
 import uuid
 from concurrent.futures import Future
+from multiprocessing.connection import wait
 from typing import Any, Mapping, Sequence
 
 from repro.api.engines import Engine
@@ -71,10 +71,6 @@ from repro.serving.stats import PoolStats
 __all__ = ["PoolTask", "WorkerPool"]
 
 _POOL_MODES = ("auto", "fork", "forkserver", "spawn", "inline")
-
-#: How long the collector blocks on the outbox before running a health
-#: scan; bounds crash-detection latency without busy-waiting.
-_POLL_SECONDS = 0.05
 
 
 def _execute_task(kind: str, payload: Any) -> Any:
@@ -124,13 +120,13 @@ def _worker_main(worker_id: int, inbox, outbox, warm_entries: int) -> None:
     while True:
         message = inbox.get()
         if message[0] == "shutdown":
-            outbox.put(("bye", worker_id))
+            outbox.send(("bye", worker_id))
             return
         if message[0] == "ping":
-            outbox.put(("pong", worker_id, message[1]))
+            outbox.send(("pong", worker_id, message[1]))
             continue
         _, dispatch_id, kind, payload, trace_on = message
-        outbox.put(("started", worker_id, dispatch_id))
+        outbox.send(("started", worker_id, dispatch_id))
         started = time.perf_counter()
         # Traced dispatches execute under a fresh worker-local tracer;
         # the span records ride the "done" message home so the parent
@@ -143,17 +139,17 @@ def _worker_main(worker_id: int, inbox, outbox, warm_entries: int) -> None:
             else:
                 result = _execute_task(kind, payload)
         except BaseException as exc:  # noqa: BLE001 -- forwarded whole
-            outbox.put(("failed", worker_id, dispatch_id,
-                        _sendable_error(exc),
-                        time.perf_counter() - started))
+            outbox.send(("failed", worker_id, dispatch_id,
+                         _sendable_error(exc),
+                         time.perf_counter() - started))
             continue
         stats = cache.stats()
         delta = stats.delta(reported)
         reported = stats
         spans = [] if tracer is None \
             else [rec.to_dict() for rec in tracer.records()]
-        outbox.put(("done", worker_id, dispatch_id, result,
-                    time.perf_counter() - started, delta, spans))
+        outbox.send(("done", worker_id, dispatch_id, result,
+                     time.perf_counter() - started, delta, spans))
 
 
 class PoolTask:
@@ -188,12 +184,10 @@ class PoolTask:
 class _WorkerSlot:
     """Parent-side record of one worker process.
 
-    Each worker owns a private ``outbox`` as well as its inbox: a
-    worker SIGKILLed mid-``put`` leaves that queue's write lock held
-    forever, and with a shared outbox one crashed worker would wedge
-    every survivor.  Private queues confine the corruption -- a restart
-    replaces the dead worker's queues wholesale (dropping any stale
-    half-written messages with them).
+    Each worker owns a private ``outbox``: the receiving end of a
+    one-way pipe whose only sender is the worker, so its death reads as
+    EOF (even mid-frame) and no survivor shares a pipe a crash could
+    corrupt.  A restart replaces both of its channels wholesale.
     """
 
     def __init__(self, worker_id: int) -> None:
@@ -251,6 +245,7 @@ class WorkerPool:
         self._pending: collections.deque[PoolTask] = collections.deque()
         self._dispatches: dict[str, PoolTask] = {}
         self._pongs: dict[str, set[int]] = {}
+        self._pong_arrived = threading.Condition(self._lock)
         self._ctx = None
         self._collector: threading.Thread | None = None
         self._running = False
@@ -486,13 +481,9 @@ class WorkerPool:
             for slot in slots:
                 if slot.alive():
                     slot.inbox.put(("ping", token))
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            with self._lock:
-                if len(self._pongs[token]) == len(slots):
-                    break
-            time.sleep(0.01)
-        with self._lock:
+        with self._pong_arrived:
+            self._pong_arrived.wait_for(
+                lambda: len(self._pongs[token]) == len(slots), timeout)
             responded = self._pongs.pop(token)
         return {slot.worker_id: slot.worker_id in responded
                 for slot in slots}
@@ -551,21 +542,21 @@ class WorkerPool:
     def _start_worker(self, slot: _WorkerSlot) -> None:
         """(Re)fork one worker into ``slot`` (caller holds the lock).
 
-        Fresh queues every time: a crashed predecessor may have died
-        holding its queues' locks, so nothing of them is reused.
+        Fresh channels every time (a crashed predecessor may have died
+        holding its inbox's lock); the worker is the outbox's only writer.
         """
         slot.inbox = self._ctx.Queue()
-        slot.outbox = self._ctx.Queue()
+        slot.outbox, sender = self._ctx.Pipe(duplex=False)
         slot.dispatch_id = None
         slot.warm_entries_gauge = 0
         slot.process = self._ctx.Process(
             target=_worker_main,
-            args=(slot.worker_id, slot.inbox, slot.outbox,
-                  self.warm_entries),
+            args=(slot.worker_id, slot.inbox, sender, self.warm_entries),
             daemon=True,
             name=f"repro-serve-worker-{slot.worker_id}",
         )
         slot.process.start()
+        sender.close()
 
     def _dispatch_pending(self) -> None:
         """Hand queued tasks to idle live workers (caller holds lock)."""
@@ -588,30 +579,43 @@ class WorkerPool:
     def _collect_loop(self) -> None:
         """Collector thread: results, health, restarts, scheduling.
 
-        Drains every live worker's private outbox without blocking;
-        when a full sweep finds nothing it sleeps one poll interval and
-        runs the health scan -- so crash detection latency is bounded
-        by ``_POLL_SECONDS`` without busy-waiting under idle load.
+        Blocks until an outbox is readable or a worker exits, so
+        results and crashes are seen the moment they happen and an idle
+        pool costs nothing.  After shutdown a worker leaves the wait set
+        once its outbox closes.
         """
         while True:
             with self._lock:
                 if not self._running and not self._dispatches \
                         and not self._pending:
                     return
-                outboxes = [s.outbox for s in self._slots
-                            if s.outbox is not None]
-            drained = False
-            for outbox in outboxes:
-                while True:
-                    try:
-                        message = outbox.get_nowait()
-                    except (queue_mod.Empty, OSError, ValueError):
-                        break
-                    drained = True
-                    self._handle_message(message)
-            if not drained:
-                time.sleep(_POLL_SECONDS)
-                self._reap_dead()
+                outboxes = {s.outbox: s for s in self._slots
+                            if s.outbox is not None}
+                sentinels = [s.process.sentinel for s in self._slots
+                             if self._running or s.outbox is not None]
+            if not sentinels:
+                return
+            for ready in wait([*outboxes, *sentinels]):
+                if ready in outboxes:
+                    self._drain_outbox(outboxes[ready])
+            self._reap_dead()
+
+    def _drain_outbox(self, slot: _WorkerSlot) -> None:
+        """Handle ``slot``'s waiting messages; close it at end of stream.
+
+        Never blocks: with no sender but the worker's, a frame it died
+        writing ends in EOF instead of waiting for bytes that never come.
+        """
+        while slot.outbox is not None:
+            try:
+                if not slot.outbox.poll():
+                    return
+                message = slot.outbox.recv()
+            except (EOFError, OSError, ValueError, pickle.UnpicklingError):
+                slot.outbox.close()
+                slot.outbox = None
+                return
+            self._handle_message(message)
 
     def _handle_message(self, message) -> None:
         kind = message[0]
@@ -626,6 +630,7 @@ class WorkerPool:
             with self._lock:
                 if token in self._pongs:
                     self._pongs[token].add(worker_id)
+                    self._pong_arrived.notify_all()
         elif kind in ("done", "failed"):
             self._on_completion(message)
 
@@ -673,13 +678,7 @@ class WorkerPool:
                 # Drain the final messages the worker managed to send
                 # before dying: a task whose "done" landed just before
                 # the crash completes normally instead of re-running.
-                if slot.outbox is not None:
-                    while True:
-                        try:
-                            message = slot.outbox.get_nowait()
-                        except (queue_mod.Empty, OSError, ValueError):
-                            break
-                        self._handle_message(message)
+                self._drain_outbox(slot)
                 task = self._dispatches.pop(slot.dispatch_id, None) \
                     if slot.dispatch_id else None
                 slot.dispatch_id = None

@@ -7,13 +7,23 @@ contract: every pool mode computes exactly what the plain engine
 facade computes, lifecycle is safe, and the counters add up.
 """
 
+import multiprocessing
+import os
+import statistics
+import struct
+import threading
+import time
+
 import pytest
 
 from repro.api import Engine, ScenarioSpec
 from repro.serving import ServingError, WorkerPool
+from repro.serving import pool as pool_module
 
 SPEC = ScenarioSpec(engine="mvp_batched", workload="database", size=96,
                     items=2, batch=5, seed=3)
+QUICK = ScenarioSpec(engine="mvp_batched", workload="database", size=96,
+                     items=2, batch=4, seed=3)
 ANALOG = ScenarioSpec(engine="analog_mvm", workload="mlp_inference",
                       batch=2, seed=7)
 
@@ -80,6 +90,49 @@ def test_warm_fabric_reused_across_group_members():
 def test_ping_reaches_every_worker():
     with WorkerPool(workers=2, mode="fork") as pool:
         assert pool.ping(timeout=10.0) == {0: True, 1: True}
+
+
+def test_outbox_drain_ends_on_a_truncated_frame():
+    # A worker killed mid-send leaves a length header promising more
+    # body than it wrote; with no other sender alive the drain must
+    # read that as end of stream instead of blocking for the rest.
+    receiver, sender = multiprocessing.Pipe(duplex=False)
+    sender.send(("pong", 0, "token"))
+    os.write(sender.fileno(), struct.pack("!i", 1000) + b"x" * 10)
+    sender.close()
+    pool = WorkerPool(workers=1, mode="fork")
+    pool._pongs["token"] = set()
+    slot = pool_module._WorkerSlot(0)
+    slot.outbox = receiver
+    errors = []
+
+    def drain():
+        try:
+            pool._drain_outbox(slot)
+        except BaseException as exc:  # noqa: BLE001 -- asserted below
+            errors.append(exc)
+
+    thread = threading.Thread(target=drain, daemon=True)
+    thread.start()
+    thread.join(timeout=10.0)
+    assert not thread.is_alive(), "drain blocked on a truncated frame"
+    assert errors == []
+    assert pool._pongs["token"] == {0}  # the whole frame was delivered
+    assert slot.outbox is None and receiver.closed
+
+
+def test_dispatch_overhead_is_small():
+    # Wall time minus worker busy time per sequential round trip: the
+    # collector must read a result when it lands, not on a poll tick.
+    overheads = []
+    with WorkerPool(workers=2, mode="fork") as pool:
+        for _ in range(20):
+            busy = pool.stats().busy_seconds
+            started = time.perf_counter()
+            pool.submit("spec", QUICK).result(timeout=60.0)
+            wall = time.perf_counter() - started
+            overheads.append(wall - (pool.stats().busy_seconds - busy))
+    assert statistics.median(overheads) < 0.020
 
 
 def test_stats_counts_tasks():

@@ -26,8 +26,8 @@ from repro.serving import (
 from repro.serving import pool as pool_module
 
 #: Big enough that a worker is reliably still computing when the test
-#: kills it right after the started notification (~150 ms of work vs a
-#: 50 ms collector poll).
+#: kills it right after the started notification (~150 ms of work vs
+#: the collector reading that notification as soon as it lands).
 SLOW = ScenarioSpec(engine="mvp_batched", workload="database",
                     size=2048, items=4, batch=16, seed=3)
 QUICK = ScenarioSpec(engine="mvp_batched", workload="database", size=96,
