@@ -4,9 +4,10 @@ Two throughput stories land in ``BENCH_serving.json``:
 
 * **pool_vs_spawn** -- the same sharded run executed through the
   long-lived warm :class:`~repro.serving.pool.WorkerPool` versus
-  :class:`~repro.parallel.runner.ParallelRunner`'s per-run
-  multiprocessing pool.  The warm pool amortizes process forks,
-  interpreter warm-up and cold caches across runs -- the fix for
+  :class:`~repro.parallel.runner.ParallelRunner` without an executor,
+  which starts a transient ``WorkerPool`` per run ("spawn") and shuts
+  it down after.  The warm pool amortizes process forks, interpreter
+  warm-up and cold caches across runs -- the fix for
   ``BENCH_parallel.json``'s 0.74x sharding loss.
 * **coalesced_vs_serial** -- a burst of seed-variant requests driven
   concurrently through :class:`~repro.serving.service.Service`

@@ -71,7 +71,7 @@ from repro.rram_ap.cost import RRAM_KERNEL, SDRAM_KERNEL, SRAM_KERNEL
 from repro.rram_ap.processor import AutomataProcessor
 from repro.rram_ap.ste_array import STEArray, inject_ste_faults
 
-__all__ = ["Engine", "run"]
+__all__ = ["Engine", "run", "run_provenance"]
 
 _KERNELS = {
     "rram": RRAM_KERNEL,
@@ -90,6 +90,53 @@ _DEFAULT_DEVICE = "bipolar"
 #: is what keeps sharded nonideal runs bit-identical to workers=1.
 _FABRIC_ITEM_AXIS = 2
 _FABRIC_SHARED_AXIS = 3
+
+
+def run_provenance(
+    spec: ScenarioSpec,
+    engine: str,
+    wall_seconds: float,
+    parallel: Mapping[str, Any] | None = None,
+) -> dict[str, Any]:
+    """What produced a result: the provenance every run records.
+
+    Shared by :meth:`Engine.run` and the sharded merge
+    (:func:`~repro.parallel.runner.merge_shard_results`).
+
+    Args:
+        spec: the scenario that ran.
+        engine: the engine's registry name.
+        wall_seconds: the run's wall time (the whole sharded run's, for
+            a merge).
+        parallel: the executor's scheduling record of a sharded run
+            (worker count, pool flavour, per-shard wall times); stored
+            under ``"parallel"``.
+    """
+    provenance: dict[str, Any] = {
+        "engine": engine,
+        "workload": spec.workload,
+        "device": spec.device.name,
+        "seed": spec.seed,
+        "repro_version": repro.__version__,
+        "wall_seconds": wall_seconds,
+    }
+    if parallel is not None:
+        provenance["parallel"] = dict(parallel)
+    if not spec.device.is_plain:
+        provenance["device_overrides"] = dict(spec.device.overrides)
+    tracer = active_tracer()
+    if tracer is not None:
+        # Trace linkage: enough to find this run's spans in the
+        # exported trace.  Scheduling provenance like wall_seconds --
+        # excluded from determinism comparisons, moved under
+        # cache["producer"] on replay.  The run ended just now, so it
+        # started wall_seconds ago.
+        provenance["trace"] = {
+            "trace_id": tracer.trace_id,
+            "started_at": tracer.wall_now() - wall_seconds,
+            "duration_seconds": wall_seconds,
+        }
+    return provenance
 
 
 class Engine:
@@ -201,44 +248,20 @@ class Engine:
         """
         if spec is not None and spec is not self.spec:
             return Engine.from_spec(spec).run()
-        tracer = active_tracer()
         with span("engine.run", engine=self.name,
                   workload=self.spec.workload, seed=self.spec.seed):
             with span("spec.resolve"):
                 adapter = adapter_for(self.spec, self.name)
                 self.check_params(adapter)
-            wall_started = (tracer.wall_now()
-                            if tracer is not None else None)
             started = time.perf_counter()
             outputs, cost, item_costs = self._execute(adapter)
             elapsed = time.perf_counter() - started
-        provenance = {
-            "engine": self.name,
-            "workload": self.spec.workload,
-            "device": self.spec.device.name,
-            "seed": self.spec.seed,
-            "repro_version": repro.__version__,
-            "wall_seconds": elapsed,
-        }
-        if tracer is not None:
-            # Trace linkage: enough to find this run's spans in the
-            # exported trace.  Scheduling provenance like wall_seconds
-            # -- excluded from determinism comparisons, moved under
-            # cache["producer"] on replay.
-            provenance["trace"] = {
-                "trace_id": tracer.trace_id,
-                "started_at": wall_started,
-                "duration_seconds": elapsed,
-            }
-        if not self.spec.device.is_plain:
-            provenance["device_overrides"] = dict(
-                self.spec.device.overrides)
         return RunResult(
             spec=self.spec,
             outputs=outputs,
             cost=cost,
             item_costs=tuple(item_costs),
-            provenance=provenance,
+            provenance=run_provenance(self.spec, self.name, elapsed),
             fidelity=self.window_fidelity(),
             accuracy=self.window_accuracy(),
         )

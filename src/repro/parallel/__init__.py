@@ -7,10 +7,11 @@ facade made every run a pure function of its
 layer: scale-out *across processes*, in three pieces --
 
 * :class:`ParallelRunner` -- split one batched spec into per-worker
-  windows, execute them in a multiprocessing pool, merge the shard
-  results bit-identically to the single-process run;
+  windows, execute them on a :class:`~repro.serving.pool.WorkerPool`
+  (attached, or started for the call), merge the shard results
+  bit-identically to the single-process run;
 * :class:`SweepRunner` / :func:`expand_grid` -- fan a parameter grid of
-  whole specs across the pool (the grid-of-configurations evaluation
+  whole specs across the workers (the grid-of-configurations evaluation
   style);
 * :class:`ResultCache` -- a content-addressed on-disk cache keyed by
   :meth:`ScenarioSpec.canonical_hash`, so repeated runs and figure

@@ -1,10 +1,13 @@
-"""The sharded multi-process executor over the unified API.
+"""Sharded and fanned-out execution over the unified API.
 
-:class:`ParallelRunner` horizontally scales one batched scenario: the
-spec's batch is split into per-worker windows
-(:func:`~repro.parallel.sharding.plan_shards`), each window executes in
-its own process via the engine's ``execute_window`` shard hook, and the
-shard results merge deterministically --
+:class:`ParallelRunner` is a cache tier plus a shard plan on top of the
+one process executor, :class:`~repro.serving.pool.WorkerPool`.
+:meth:`~ParallelRunner.run` horizontally scales one batched scenario:
+the spec's batch is split into per-worker windows
+(:func:`~repro.parallel.sharding.plan_shards`), each window executes on
+a worker via the engine's ``execute_window`` shard hook
+(:func:`run_shard`), and the shard results merge deterministically
+(:func:`merge_shard_results`) --
 
 * per-item costs concatenate in original batch order;
 * the whole-run :class:`~repro.api.result.CostSummary` is re-aggregated
@@ -14,6 +17,11 @@ shard results merge deterministically --
 * outputs merge through the workload adapter's ``merge_shard_outputs``;
 * provenance records the shard plan and per-shard wall times.
 
+:meth:`~ParallelRunner.run_many` fans whole specs across the workers
+instead.  Either way, work runs on an attached long-lived pool
+(``executor=``) or on a pool started and shut down inside the call; a
+call that comes down to a single task runs in-process.
+
 Determinism holds because every adapter derives item ``i``'s data from
 ``(spec.seed, i)`` alone (see :mod:`repro.api.workloads`): a window
 generates exactly the slice of the batch it covers.  The suite in
@@ -21,19 +29,17 @@ generates exactly the slice of the batch it covers.  The suite in
 exactly, for every shardable engine.
 
 A :class:`~repro.parallel.cache.ResultCache` can be attached; cache
-lookups happen before any process is forked, so a warm cache serves
+lookups happen before any worker starts, so a warm cache serves
 repeated runs (figure regenerations, sweep re-runs) without compute.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import multiprocessing
 import time
 from typing import Any, Mapping, Sequence
 
-import repro
-from repro.api.engines import Engine
+from repro.api.engines import Engine, run_provenance
 from repro.api.result import (
     AccuracySummary,
     CostSummary,
@@ -42,23 +48,15 @@ from repro.api.result import (
 )
 from repro.api.spec import ScenarioSpec
 from repro.api.workloads import adapter_for
-from repro.obs.trace import Tracer, active_tracer, span, traced
+from repro.obs.trace import span
 from repro.parallel.cache import ResultCache
-from repro.parallel.sharding import plan_shards
 
 __all__ = [
     "ParallelRunner",
     "ShardResult",
     "merge_shard_results",
     "run_shard",
-    "run_shard_traced",
 ]
-
-#: Pool start methods, best first: ``fork`` shares the parent's loaded
-#: modules (cheap startup); ``spawn`` is the portable fallback;
-#: ``inline`` executes shards serially in-process -- same shard plan,
-#: same merge, no processes (useful for tests and debugging).
-_POOL_MODES = ("auto", "fork", "forkserver", "spawn", "inline")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -94,9 +92,8 @@ class ShardResult:
 def run_shard(task: tuple[ScenarioSpec, int, int]) -> ShardResult:
     """Worker body: execute one batch window of ``spec``.
 
-    Shared by the per-run multiprocessing pool here and the long-lived
-    :class:`~repro.serving.pool.WorkerPool` workers -- a shard computes
-    the same thing regardless of which executor hosts it.
+    The ``"window"`` task of :class:`~repro.serving.pool.WorkerPool`,
+    in its worker processes and inline alike.
     """
     spec, offset, count = task
     started = time.perf_counter()
@@ -117,30 +114,6 @@ def run_shard(task: tuple[ScenarioSpec, int, int]) -> ShardResult:
     )
 
 
-# Historical private name; the sharded map tasks pickle by qualname.
-_run_shard = run_shard
-
-
-def run_shard_traced(
-    task: tuple[ScenarioSpec, int, int],
-) -> tuple[ShardResult, list[dict[str, Any]]]:
-    """Worker body for traced sharded runs.
-
-    Executes the shard under a fresh worker-local tracer and ships the
-    span records home as dicts alongside the result, so the parent can
-    graft them under its dispatch span (:meth:`Tracer.adopt`).
-    """
-    tracer = Tracer()
-    with traced(tracer):
-        result = run_shard(task)
-    return result, [rec.to_dict() for rec in tracer.records()]
-
-
-def _run_spec(spec: ScenarioSpec) -> RunResult:
-    """Pool worker: execute one whole spec (spec-level fan-out)."""
-    return Engine.from_spec(spec).run()
-
-
 def merge_shard_results(
     spec: ScenarioSpec,
     engine: Engine,
@@ -150,15 +123,13 @@ def merge_shard_results(
 ) -> RunResult:
     """Fold per-window shard results into the whole-run RunResult.
 
-    The single merge every sharded executor uses (the per-run pool here
-    and the serving layer's warm :class:`~repro.serving.pool.WorkerPool`
-    alike): per-item costs concatenate in plan order, the run cost is
-    re-aggregated by the engine's own fold over that concatenation
-    (same float-addition order as ``workers=1``), outputs merge through
-    the workload adapter, and fidelity/accuracy fold by the engine's
-    declared policies -- which is what keeps ``workers=N``
-    bit-identical to ``workers=1`` no matter which executor ran the
-    windows.
+    Called by :meth:`~repro.serving.pool.WorkerPool.run` once every
+    window is back: per-item costs concatenate in plan order, the run
+    cost is re-aggregated by the engine's own fold over that
+    concatenation (same float-addition order as ``workers=1``), outputs
+    merge through the workload adapter, and fidelity/accuracy fold by
+    the engine's declared policies -- which is what keeps
+    ``workers=N`` bit-identical to ``workers=1``.
 
     Args:
         spec: the scenario the shards belong to.
@@ -184,55 +155,49 @@ def merge_shard_results(
             [s.fidelity for s in shard_results])
         accuracy = type(engine).merge_window_accuracy(
             [s.accuracy for s in shard_results])
-    provenance = {
-        "engine": engine.name,
-        "workload": spec.workload,
-        "device": spec.device.name,
-        "seed": spec.seed,
-        "repro_version": repro.__version__,
-        "wall_seconds": wall_seconds,
-        "parallel": dict(parallel_provenance),
-    }
-    if not spec.device.is_plain:
-        provenance["device_overrides"] = dict(spec.device.overrides)
-    tracer = active_tracer()
-    if tracer is not None:
-        # Same linkage Engine.run stamps: scheduling provenance, never
-        # part of determinism comparisons.  started_at is anchored by
-        # subtracting the run duration (the executor measured it; the
-        # merge runs immediately after).
-        provenance["trace"] = {
-            "trace_id": tracer.trace_id,
-            "started_at": tracer.wall_now() - wall_seconds,
-            "duration_seconds": wall_seconds,
-        }
     return RunResult(
         spec=spec,
         outputs=outputs,
         cost=cost,
         item_costs=item_costs,
-        provenance=provenance,
+        provenance=run_provenance(spec, engine.name, wall_seconds,
+                                  parallel=parallel_provenance),
         fidelity=fidelity,
         accuracy=accuracy,
     )
+
+
+def _pool(workers: int, mode: str):
+    """An unstarted :class:`~repro.serving.pool.WorkerPool`.
+
+    Building one starts no process but validates ``workers`` and
+    ``mode``.
+    """
+    # Imported on use: repro.serving.pool imports run_shard and
+    # merge_shard_results from this module.
+    from repro.serving.pool import WorkerPool
+
+    return WorkerPool(workers, mode=mode)
 
 
 class ParallelRunner:
     """Run scenarios across worker processes, with optional caching.
 
     Args:
-        workers: worker process count (1 = plain in-process execution).
+        workers: worker process count (1 = in-process execution).
         cache: a :class:`ResultCache`, a cache directory path, or None.
-        pool: start method -- "auto" (fork where available, else
-            spawn), "fork", "forkserver", "spawn", or "inline" (serial
-            in-process execution of the identical shard plan).
-        executor: an optional long-lived executor (a started
-            :class:`~repro.serving.pool.WorkerPool`) that replaces the
-            per-run multiprocessing pool: cache handling stays here,
-            execution and shard merging delegate to the warm workers
-            (same shard plan, same merge, identical results -- without
-            paying a process spawn per run).  ``workers``/``pool`` are
-            ignored while an executor is attached.
+        pool: start method of the pool each call starts -- "auto" (fork
+            where available, else spawn), "fork", "forkserver",
+            "spawn", or "inline" (serial in-process execution of the
+            identical shard plan).  A call with a single task (one
+            shard, one cache miss) runs inline whatever the mode.
+        executor: an optional started
+            :class:`~repro.serving.pool.WorkerPool` shared across calls:
+            cache handling stays here, execution and shard merging run
+            on its warm workers (same shard plan, same merge, identical
+            results -- without starting processes per call).
+            ``workers``/``pool`` are ignored while an executor is
+            attached.
     """
 
     def __init__(
@@ -242,12 +207,7 @@ class ParallelRunner:
         pool: str = "auto",
         executor=None,
     ) -> None:
-        if not isinstance(workers, int) or isinstance(workers, bool) \
-                or workers < 1:
-            raise ValueError("workers must be a positive integer")
-        if pool not in _POOL_MODES:
-            raise ValueError(
-                f"pool must be one of {_POOL_MODES}, got {pool!r}")
+        _pool(workers, pool)  # validates workers and pool up front
         if executor is not None and not (
                 callable(getattr(executor, "run", None))
                 and callable(getattr(executor, "run_many", None))):
@@ -260,8 +220,6 @@ class ParallelRunner:
         self.cache = cache
         self.pool = pool
         self.executor = executor
-
-    # -- execution ------------------------------------------------------------
 
     def run(self, spec: ScenarioSpec | Mapping[str, Any]) -> RunResult:
         """Execute one scenario, sharded across the workers.
@@ -278,12 +236,13 @@ class ParallelRunner:
         if self.executor is not None:
             result = self.executor.run(spec)
         else:
-            engine = Engine.from_spec(spec)
-            shards = plan_shards(spec.batch, self.workers)
-            if engine.shardable and len(shards) > 1:
-                result = self._run_sharded(spec, engine, shards)
-            else:
-                result = engine.run()
+            # One task per batch item at most; the pool decides whether
+            # the spec shards.
+            with self._transient(spec.batch) as pool:
+                result = pool.run(spec)
+            if "parallel" in result.provenance:
+                # This pool lived for one call: not a warm one.
+                result.provenance["parallel"]["pool"] = pool.mode
         if self.cache is not None:
             self.cache.store(result)
         return result
@@ -314,72 +273,21 @@ class ParallelRunner:
         missing = [resolved[i] for i in misses]
         if self.executor is not None:
             fresh = self.executor.run_many(missing)
+        elif missing:
+            with self._transient(len(missing)) as pool:
+                fresh = pool.run_many(missing)
         else:
-            fresh = self._map(_run_spec, missing)
+            fresh = []
         for i, result in zip(misses, fresh):
             if self.cache is not None:
                 self.cache.store(result)
             results[i] = result
         return results  # type: ignore[return-value]
 
-    # -- internals ------------------------------------------------------------
+    def _transient(self, tasks: int):
+        """The pool a call with ``tasks`` tasks starts and shuts down.
 
-    def _run_sharded(
-        self,
-        spec: ScenarioSpec,
-        engine: Engine,
-        shards: list[tuple[int, int]],
-    ) -> RunResult:
-        # Validate params before forking so a typoed knob fails in the
-        # parent with the usual error, not wrapped in a pool traceback.
-        engine.check_params(adapter_for(spec, engine.name))
-        tasks = [(spec, off, cnt) for off, cnt in shards]
-        tracer = active_tracer()
-        started = time.perf_counter()
-        if tracer is None:
-            shard_results = self._map(run_shard, tasks)
-        else:
-            # Workers trace into their own short-lived tracer; the
-            # records come home with each result and graft under the
-            # dispatch span, rebased to the dispatch instant (worker
-            # clock bases are unknowable across processes).
-            with span("shards.dispatch", shards=len(shards),
-                      workers=self.workers, pool=self._method()):
-                dispatch_id = tracer.current_span_id
-                dispatch_at = tracer.now()
-                pairs = self._map(run_shard_traced, tasks)
-            shard_results = [result for result, _ in pairs]
-            for _, records in pairs:
-                tracer.adopt(records, parent_id=dispatch_id,
-                             offset_seconds=dispatch_at)
-        elapsed = time.perf_counter() - started
-        return merge_shard_results(
-            spec, engine, shard_results,
-            parallel_provenance={
-                "workers": self.workers,
-                "pool": self._method(),
-                "shards": [
-                    {"offset": s.offset, "count": s.count,
-                     "wall_seconds": s.wall_seconds}
-                    for s in shard_results
-                ],
-            },
-            wall_seconds=elapsed,
-        )
-
-    def _method(self) -> str:
-        if self.pool == "inline":
-            return "inline"
-        if self.pool != "auto":
-            return self.pool
-        available = multiprocessing.get_all_start_methods()
-        return "fork" if "fork" in available else "spawn"
-
-    def _map(self, fn, tasks: list) -> list:
-        """Order-preserving map over the worker pool (or inline)."""
-        n = min(self.workers, len(tasks))
-        if n <= 1 or self._method() == "inline":
-            return [fn(task) for task in tasks]
-        ctx = multiprocessing.get_context(self._method())
-        with ctx.Pool(processes=n) as pool:
-            return pool.map(fn, tasks)
+        At most one worker per task; a single worker runs in-process.
+        """
+        workers = min(self.workers, tasks)
+        return _pool(workers, self.pool if workers > 1 else "inline")

@@ -1,22 +1,21 @@
-"""The warm persistent worker pool: fork once, serve runs forever.
+"""The process executor: warm worker processes serving spec tasks.
 
-``ParallelRunner`` pays a full pool spawn -- process forks, interpreter
-warm-up, cold caches -- on *every* ``run()`` call, which is why
-``BENCH_parallel.json`` recorded 4-worker sharding as a net loss.  A
-:class:`WorkerPool` forks its workers **once**: long-lived processes
+A :class:`WorkerPool` forks its workers **once**: long-lived processes
 that receive pickled :class:`~repro.api.spec.ScenarioSpec` tasks over
 queues, keep their per-process caches warm across runs (the
 :mod:`~repro.api.fabric_cache` mapped-fabric store, the workload
 adapters' model caches), and stream results back over one private
-one-way pipe each.
+one-way pipe each.  It is the only executor: the serving
+:class:`~repro.serving.service.Service` keeps one for its lifetime, and
+:class:`~repro.parallel.runner.ParallelRunner` runs on an attached one
+or starts one per call.
 
-Determinism is inherited, not re-proven: workers execute the exact
-:func:`~repro.parallel.runner.run_shard` /
-``Engine.from_spec(spec).run()`` bodies the per-run executor uses, and
-sharded merges go through the same
-:func:`~repro.parallel.runner.merge_shard_results` fold -- so
-``workers=N`` through the warm pool stays bit-identical to
-``workers=1``, fidelity and accuracy summaries included.
+Determinism is inherited, not re-proven: workers execute
+:func:`~repro.parallel.runner.run_shard` or
+``Engine.from_spec(spec).run()``, and sharded merges go through
+:func:`~repro.parallel.runner.merge_shard_results` -- so ``workers=N``
+stays bit-identical to ``workers=1``, fidelity and accuracy summaries
+included.
 
 Robustness contract:
 
@@ -33,15 +32,15 @@ Robustness contract:
   only then escalates to termination.
 
 The ``inline`` mode runs tasks synchronously in-process with the same
-task/merge plumbing and a process-local warm fabric cache -- the
-deterministic single-CPU and unit-test configuration.
+task/merge plumbing and a process-local warm fabric cache (the one
+already active, if any) -- the deterministic single-CPU and unit-test
+configuration.
 """
 
 from __future__ import annotations
 
 import collections
 import multiprocessing
-import os
 import pickle
 import threading
 import time
@@ -70,7 +69,7 @@ from repro.serving.stats import PoolStats
 
 __all__ = ["PoolTask", "WorkerPool"]
 
-_POOL_MODES = ("auto", "fork", "forkserver", "spawn", "inline")
+_MODES = ("auto", "fork", "forkserver", "spawn", "inline")
 
 
 def _execute_task(kind: str, payload: Any) -> Any:
@@ -212,9 +211,10 @@ class WorkerPool:
     Args:
         workers: worker process count (>= 1).
         mode: start method -- "auto" (fork where available, else
-            spawn), "fork", "forkserver", "spawn", or "inline"
-            (synchronous in-process execution with the same task
-            plumbing; no processes, nothing to crash).
+            spawn; :attr:`mode` holds the resolved method), "fork",
+            "forkserver", "spawn", or "inline" (synchronous in-process
+            execution with the same task plumbing; no processes,
+            nothing to crash).
         warm_entries: per-worker warm-fabric LRU capacity.
         max_attempts: workers a task may consume before its future
             fails with :class:`~repro.serving.errors.WorkerCrashed`.
@@ -230,9 +230,11 @@ class WorkerPool:
         if not isinstance(workers, int) or isinstance(workers, bool) \
                 or workers < 1:
             raise ValueError("workers must be a positive integer")
-        if mode not in _POOL_MODES:
-            raise ValueError(
-                f"mode must be one of {_POOL_MODES}, got {mode!r}")
+        if mode not in _MODES:
+            raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
+        if mode == "auto":
+            available = multiprocessing.get_all_start_methods()
+            mode = "fork" if "fork" in available else "spawn"
         if not isinstance(max_attempts, int) \
                 or isinstance(max_attempts, bool) or max_attempts < 1:
             raise ValueError("max_attempts must be a positive integer")
@@ -266,11 +268,11 @@ class WorkerPool:
         self._running_gauge = self.metrics.gauge("pool_running_tasks")
         self._alive_gauge = self.metrics.gauge("pool_workers_alive")
         self._fabric_totals = FabricCacheStats()
-        # Inline mode: the cache shared by in-process execution, plus
-        # whatever cache was active before start() so shutdown can
-        # restore it.
+        # Inline mode: the cache shared by in-process execution, and
+        # whether start() installed it (else it was already active and
+        # shutdown leaves it so).
         self._inline_cache: FabricCache | None = None
-        self._prior_cache: FabricCache | None = None
+        self._owns_cache = False
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -283,11 +285,13 @@ class WorkerPool:
                 raise ServingError("pool already shut down")
             self._running = True
             if self.mode == "inline":
-                self._prior_cache = active_fabric_cache()
-                self._inline_cache = activate_fabric_cache(
-                    FabricCache(max_entries=self.warm_entries))
+                self._inline_cache = active_fabric_cache()
+                self._owns_cache = self._inline_cache is None
+                if self._owns_cache:
+                    self._inline_cache = activate_fabric_cache(
+                        FabricCache(max_entries=self.warm_entries))
                 return self
-            self._ctx = multiprocessing.get_context(self._method())
+            self._ctx = multiprocessing.get_context(self.mode)
             self._slots = [_WorkerSlot(i) for i in range(self.workers)]
             for slot in self._slots:
                 self._start_worker(slot)
@@ -328,11 +332,8 @@ class WorkerPool:
         if self.mode == "inline":
             with self._lock:
                 self._running = False
-                if self._inline_cache is not None:
-                    if self._prior_cache is not None:
-                        activate_fabric_cache(self._prior_cache)
-                    else:
-                        deactivate_fabric_cache()
+                if self._owns_cache:
+                    deactivate_fabric_cache()
             return
         with self._lock:
             self._running = False
@@ -409,8 +410,10 @@ class WorkerPool:
     def run(self, spec: ScenarioSpec | Mapping[str, Any]) -> RunResult:
         """Execute one scenario, sharded across the warm workers.
 
-        The warm counterpart of :meth:`ParallelRunner.run`'s miss path:
-        same shard plan, same merge, no per-run process spawn.
+        Unshardable engines and one-shard plans run as one ``"spec"``
+        task; otherwise each window is a ``"window"`` task whose worker
+        spans graft under the ``shards.dispatch`` span, and the results
+        fold through :func:`~repro.parallel.runner.merge_shard_results`.
         """
         if not isinstance(spec, ScenarioSpec):
             spec = ScenarioSpec.from_dict(spec)
@@ -423,7 +426,7 @@ class WorkerPool:
         engine.check_params(adapter_for(spec, engine.name))
         started = time.perf_counter()
         with span("shards.dispatch", shards=len(shards),
-                  workers=self.workers, pool=f"warm-{self._method()}"):
+                  workers=self.workers, pool=f"warm-{self.mode}"):
             tasks = [self.submit("window", (spec, offset, count))
                      for offset, count in shards]
             shard_results = [task.result() for task in tasks]
@@ -432,7 +435,7 @@ class WorkerPool:
             spec, engine, shard_results,
             parallel_provenance={
                 "workers": self.workers,
-                "pool": f"warm-{self._method()}",
+                "pool": f"warm-{self.mode}",
                 "shards": [
                     {"offset": s.offset, "count": s.count,
                      "wall_seconds": s.wall_seconds}
@@ -532,12 +535,6 @@ class WorkerPool:
             )
 
     # -- internals -------------------------------------------------------------
-
-    def _method(self) -> str:
-        if self.mode not in ("auto",):
-            return self.mode
-        available = multiprocessing.get_all_start_methods()
-        return "fork" if "fork" in available else "spawn"
 
     def _start_worker(self, slot: _WorkerSlot) -> None:
         """(Re)fork one worker into ``slot`` (caller holds the lock).
